@@ -39,6 +39,17 @@ for seed in 101 202 303 404 505; do
   OPENBG_CHAOS_SEED="${seed}" ./build-tsan/tests/chaos_test
 done
 
+echo "==> drain repeat gate: 200 runs each, every one ending in a clean EOF"
+# A drained connection must end in whole frames and FIN, never RST (the
+# lingering close in Server::CloseConn). One passing run can be timing
+# luck; 200 in a row cannot.
+./build/tests/net_test \
+  --gtest_filter='NetE2ETest.ShutdownUnderTornWritesStillEndsInWholeFrames' \
+  --gtest_repeat=200
+./build/tests/chaos_test \
+  --gtest_filter='ChaosTest.NetFaultSweepFragmentsButNeverTearsFrames' \
+  --gtest_repeat=200
+
 echo "==> ANN recall gate (recall@10 >= 0.99 at the pruned operating point)"
 ./build/tests/ann_test --gtest_filter='AnnRecallGate.*'
 

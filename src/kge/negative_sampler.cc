@@ -2,12 +2,26 @@
 
 #include <map>
 
+#include "util/logging.h"
+
 namespace openbg::kge {
 
 NegativeSampler::NegativeSampler(const Dataset& dataset, Options options,
                                  uint64_t seed)
     : num_entities_(dataset.num_entities()), options_(options), rng_(seed) {
-  for (const LpTriple& t : dataset.train) known_.insert(t);
+  size_t slots = 1;
+  while (slots < 2 * dataset.train.size()) slots <<= 1;
+  known_.assign(slots, LpTriple{kEmptySlot, 0, 0});
+  known_mask_ = slots - 1;
+  for (const LpTriple& t : dataset.train) {
+    OPENBG_CHECK(t.h != kEmptySlot && t.t != kEmptySlot)
+        << "entity id " << kEmptySlot << " is reserved";
+    size_t i = TripleHash{}(t) & known_mask_;
+    while (known_[i].h != kEmptySlot && !(known_[i] == t)) {
+      i = (i + 1) & known_mask_;
+    }
+    known_[i] = t;
+  }
 
   // Bernoulli statistics: tph (tails per head) and hpt (heads per tail)
   // per relation; P(corrupt head) = tph / (tph + hpt).
@@ -34,7 +48,11 @@ NegativeSampler::NegativeSampler(const Dataset& dataset, Options options,
 }
 
 bool NegativeSampler::IsKnownPositive(const LpTriple& t) const {
-  return known_.count(t) > 0;
+  // Load <= 0.5 guarantees an empty slot, so the probe always ends.
+  for (size_t i = TripleHash{}(t) & known_mask_;; i = (i + 1) & known_mask_) {
+    if (known_[i].h == kEmptySlot) return false;
+    if (known_[i] == t) return true;
+  }
 }
 
 LpTriple NegativeSampler::Corrupt(const LpTriple& pos) {

@@ -1,7 +1,7 @@
 #ifndef OPENBG_KGE_NEGATIVE_SAMPLER_H_
 #define OPENBG_KGE_NEGATIVE_SAMPLER_H_
 
-#include <unordered_set>
+#include <cstdint>
 #include <vector>
 
 #include "bench_builder/dataset.h"
@@ -64,10 +64,17 @@ class NegativeSampler {
     }
   };
 
+  // Marks an empty slot of known_ (as its h), so entity ids stay below it.
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
   size_t num_entities_;
   Options options_;
   util::Rng rng_;
-  std::unordered_set<LpTriple, TripleHash> known_;
+  // The train triples as a flat open-addressing set: a power-of-two slot
+  // array at load <= 0.5 with linear probing, so a lookup is one hash and
+  // a short scan of adjacent slots instead of a node-based bucket walk.
+  std::vector<LpTriple> known_;
+  size_t known_mask_ = 0;
   // Per relation: probability of corrupting the head (bernoulli mode).
   std::vector<double> head_corrupt_prob_;
 };

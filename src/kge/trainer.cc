@@ -210,10 +210,14 @@ double TrainKgeModel(KgeModel* model, const Dataset& dataset,
         // Serial pre-pass for order-sensitive bookkeeping (TuckER's target
         // index), then lock-free sharded training. Each worker corrupts
         // with its own stream and applies updates through a DirectGradSink,
-        // racing only on float stores.
-        for (size_t b = 0; b < num_batches; ++b) {
-          fill_batch(b, &batch);
-          model->AccumulateTargets(batch);
+        // racing only on float stores. The pre-pass runs in the first epoch
+        // of the call only: it has then seen every train triple, so later
+        // epochs would add nothing to the index.
+        if (epoch == start_epoch) {
+          for (size_t b = 0; b < num_batches; ++b) {
+            fill_batch(b, &batch);
+            model->AccumulateTargets(batch);
+          }
         }
         util::ParallelFor(
             pool.get(), num_batches,

@@ -28,6 +28,37 @@ std::vector<float>& Scratch(size_t n, size_t which = 0) {
   return b;
 }
 
+// Per-thread batch-local relation gradients (TransE). Relations are few and
+// shared by every entity, so writing a relation row once per pair makes all
+// Hogwild workers contend on the same handful of cache lines. Instead each
+// pair adds into the thread's accumulator row for its relation, and the
+// batch ends with one flush per touched relation. `slot[r]` is r's row in
+// `rows` during a batch (-1 otherwise); rows are handed out in first-touch
+// order and zeroed on first touch, so a batch costs O(relations touched),
+// not O(num_relations).
+struct RelationGrads {
+  std::vector<int32_t> slot;
+  std::vector<uint32_t> touched;
+  std::vector<float> rows;
+
+  // The accumulator row for r, valid until the next Row() call.
+  float* Row(uint32_t r, size_t dim) {
+    if (slot[r] < 0) {
+      slot[r] = static_cast<int32_t>(touched.size());
+      touched.push_back(r);
+      if (rows.size() < touched.size() * dim) rows.resize(touched.size() * dim);
+      std::fill_n(rows.data() + static_cast<size_t>(slot[r]) * dim, dim, 0.0f);
+    }
+    return rows.data() + static_cast<size_t>(slot[r]) * dim;
+  }
+};
+
+RelationGrads& ThreadRelationGrads(size_t num_relations) {
+  static thread_local RelationGrads grads;
+  if (grads.slot.size() < num_relations) grads.slot.resize(num_relations, -1);
+  return grads;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- TransE
@@ -85,12 +116,12 @@ void TransE::ScoreHeads(uint32_t r, uint32_t t,
 }
 
 void TransE::EmitGrad(const LpTriple& t, float direction, float lr,
-                      GradSink* sink) {
+                      GradSink* sink, float* rel_grad) {
   // d||h+r-t||_1 subgradient: sign(h+r-t); `direction` +1 shrinks the
   // positive distance, -1 grows the negative one. The full gradient vector
-  // is computed from the current rows before any write is emitted, so the
-  // direct-sink path reproduces the old interleaved loop exactly (every
-  // element's reads preceded its writes there too).
+  // is computed from the current rows before any write is emitted. Entity
+  // rows move per pair; the relation's step -lr*g is added to `rel_grad`,
+  // its batch-local accumulator row, and reaches rel_ at the batch's end.
   const float* hh = ent_.Row(t.h);
   const float* rr = rel_.Row(t.r);
   const float* tt = ent_.Row(t.t);
@@ -100,7 +131,7 @@ void TransE::EmitGrad(const LpTriple& t, float direction, float lr,
     g[d] = direction * (diff > 0.0f ? 1.0f : (diff < 0.0f ? -1.0f : 0.0f));
   }
   ent_.Update(sink, t.h, g.data(), lr);
-  rel_.Update(sink, t.r, g.data(), lr);
+  nn::Axpy(-lr, g.data(), rel_grad, dim_);
   ent_.Axpy(sink, t.t, lr, g.data());
   ent_.ProjectToUnitBall(sink, t.h);
   ent_.ProjectToUnitBall(sink, t.t);
@@ -109,6 +140,7 @@ void TransE::EmitGrad(const LpTriple& t, float direction, float lr,
 double TransE::TrainBatch(const std::vector<LpTriple>& pos,
                           const std::vector<LpTriple>& neg, float lr,
                           GradSink* sink) {
+  RelationGrads& rel_grads = ThreadRelationGrads(num_relations_);
   double loss = 0.0;
   for (size_t i = 0; i < pos.size(); ++i) {
     float dp = -ScoreTriple(pos[i].h, pos[i].r, pos[i].t);
@@ -116,10 +148,19 @@ double TransE::TrainBatch(const std::vector<LpTriple>& pos,
     float hinge = margin_ + dp - dn;
     if (hinge > 0.0f) {
       loss += hinge;
-      EmitGrad(pos[i], +1.0f, lr, sink);
-      EmitGrad(neg[i], -1.0f, lr, sink);
+      EmitGrad(pos[i], +1.0f, lr, sink, rel_grads.Row(pos[i].r, dim_));
+      EmitGrad(neg[i], -1.0f, lr, sink, rel_grads.Row(neg[i].r, dim_));
     }
   }
+  // One write per touched relation, in first-touch order: minibatch SGD on
+  // the relation table (every pair of the batch scored against the same
+  // relation rows), per-pair SGD on the entity table.
+  for (size_t k = 0; k < rel_grads.touched.size(); ++k) {
+    const uint32_t r = rel_grads.touched[k];
+    rel_.Axpy(sink, r, 1.0f, rel_grads.rows.data() + k * dim_);
+    rel_grads.slot[r] = -1;
+  }
+  rel_grads.touched.clear();
   return loss / static_cast<double>(pos.size());
 }
 

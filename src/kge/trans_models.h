@@ -11,6 +11,8 @@ namespace openbg::kge {
 
 /// TransE (Bordes et al. 2013): score = -||h + r - t||_1, margin ranking
 /// loss, entity embeddings projected to the unit ball after each step.
+/// Entity rows take one SGD step per pair; relation rows take one summed
+/// step per batch (see TrainBatch and DESIGN.md §9).
 class TransE : public KgeModel {
  public:
   TransE(size_t num_entities, size_t num_relations, size_t dim,
@@ -37,9 +39,11 @@ class TransE : public KgeModel {
   EmbeddingTable& relations() { return rel_; }
 
  private:
-  // Emits the +/- L1 subgradient of one triple's distance through the sink.
+  // Emits the +/- L1 subgradient of one triple's distance: entity updates
+  // through the sink, the relation step into `rel_grad` (the batch-local
+  // accumulator row that TrainBatch flushes once per relation).
   void EmitGrad(const LpTriple& t, float direction, float lr,
-                GradSink* sink);
+                GradSink* sink, float* rel_grad);
 
   size_t dim_;
   float margin_;

@@ -5,11 +5,13 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <vector>
 
 #include "util/fault_injection.h"
 #include "util/string_util.h"
@@ -39,6 +41,9 @@ struct Server::Conn {
 
   std::atomic<int> inflight{0};   // engine calls not yet queued back
   std::atomic<bool> closed{false};
+  // Lingering close (owning event thread only): once `closed` is set and
+  // the FIN is sent, input is discarded until this time at the latest.
+  uint64_t linger_until_ms = 0;
 
   ~Conn() {
     if (fd >= 0) ::close(fd);
@@ -57,8 +62,10 @@ struct Server::EventThread {
   std::vector<int> incoming;
   std::vector<std::shared_ptr<Conn>> flush_queue;
 
-  // Owned connections; touched only by this thread.
+  // Owned connections; touched only by this thread. A lingering
+  // connection stays in `conns` (and its fd in epoll) until it finishes.
   std::unordered_map<int, std::shared_ptr<Conn>> conns;
+  std::vector<std::shared_ptr<Conn>> lingering;
 
   ~EventThread() {
     if (epfd >= 0) ::close(epfd);
@@ -72,6 +79,10 @@ void SetNoDelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
+
+// Upper bound on a lingering close: a peer that neither acknowledges our
+// last bytes nor closes its side is cut off after this long.
+constexpr uint64_t kLingerMs = 1000;
 
 uint64_t NowMs() {
   return static_cast<uint64_t>(
@@ -213,7 +224,7 @@ void Server::EventLoop(size_t index) {
   epoll_event events[64];
 
   for (;;) {
-    const int timeout_ms = draining ? 5 : 100;
+    const int timeout_ms = draining || !et->lingering.empty() ? 5 : 100;
     int n = ::epoll_wait(et->epfd, events, 64, timeout_ms);
     if (n < 0 && errno != EINTR) break;
 
@@ -232,6 +243,10 @@ void Server::EventLoop(size_t index) {
       auto it = et->conns.find(fd);
       if (it == et->conns.end()) continue;
       std::shared_ptr<Conn> conn = it->second;
+      if (conn->closed.load(std::memory_order_acquire)) {
+        if (LingerDone(conn.get())) FinishClose(et, conn);
+        continue;
+      }
       bool alive = true;
       if (events[i].events & (EPOLLERR | EPOLLHUP)) {
         alive = false;
@@ -257,6 +272,14 @@ void Server::EventLoop(size_t index) {
       if (!FlushConn(et, conn)) CloseConn(et, conn);
     }
 
+    // Lingering closes end without an event once the peer has acknowledged
+    // everything, so poll them every pass (the wait above is short then).
+    std::erase_if(et->lingering, [&](const std::shared_ptr<Conn>& conn) {
+      if (conn->fd >= 0 && !LingerDone(conn.get())) return false;
+      FinishClose(et, conn);  // a no-op if force-closed meanwhile
+      return true;
+    });
+
     if (!draining && stop_.load(std::memory_order_acquire)) {
       draining = true;
       drain_start_ms = NowMs();
@@ -274,6 +297,7 @@ void Server::EventLoop(size_t index) {
       // the client always sees complete frames, then a clean EOF.
       std::vector<std::shared_ptr<Conn>> quiesced;
       for (auto& [fd, conn] : et->conns) {
+        if (conn->closed.load(std::memory_order_acquire)) continue;
         bool idle = conn->inflight.load(std::memory_order_acquire) == 0;
         if (idle) {
           std::lock_guard<std::mutex> lock(conn->out_mu);
@@ -304,7 +328,7 @@ void Server::EventLoop(size_t index) {
           conn->out.clear();
           conn->out_off = 0;
         }
-        for (const auto& conn : remaining) CloseConn(et, conn);
+        for (const auto& conn : remaining) FinishClose(et, conn);
         break;
       }
     }
@@ -313,7 +337,8 @@ void Server::EventLoop(size_t index) {
   // Belt-and-braces: anything still registered goes down with the loop.
   std::vector<std::shared_ptr<Conn>> leftover;
   for (auto& [fd, conn] : et->conns) leftover.push_back(conn);
-  for (const auto& conn : leftover) CloseConn(et, conn);
+  for (const auto& conn : leftover) FinishClose(et, conn);
+  et->lingering.clear();
 }
 
 void Server::AcceptReady(EventThread* et) {
@@ -620,6 +645,40 @@ bool Server::FlushConn(EventThread* et, const std::shared_ptr<Conn>& conn) {
 
 void Server::CloseConn(EventThread* et, const std::shared_ptr<Conn>& conn) {
   if (conn->closed.exchange(true, std::memory_order_acq_rel)) return;
+  // Lingering close. ::close() with unread input makes the kernel send RST
+  // instead of FIN, and an RST discards whatever of our output the peer
+  // has not read yet (pipelined requests still in flight are exactly such
+  // input). So: FIN after the last whole frame, then discard input until
+  // the peer has everything (LingerDone), and only then close the fd.
+  ::shutdown(conn->fd, SHUT_WR);
+  conn->linger_until_ms = NowMs() + kLingerMs;
+  if (LingerDone(conn.get())) {
+    FinishClose(et, conn);
+  } else {
+    et->lingering.push_back(conn);
+  }
+}
+
+bool Server::LingerDone(Conn* conn) {
+  char buf[4096];
+  for (int round = 0; round < 64; ++round) {
+    ssize_t r = ::recv(conn->fd, buf, sizeof(buf), 0);
+    if (r > 0) continue;
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    return true;  // peer EOF or a dead socket: nothing left to protect
+  }
+  // Input drained and every byte we sent, FIN included, acknowledged: the
+  // peer holds the whole conversation, so input arriving after the close
+  // can no longer cost it any of our output.
+  int unacked = 0;
+  if (::ioctl(conn->fd, TIOCOUTQ, &unacked) == 0 && unacked == 0) return true;
+  return NowMs() >= conn->linger_until_ms;
+}
+
+void Server::FinishClose(EventThread* et, const std::shared_ptr<Conn>& conn) {
+  if (conn->fd < 0) return;
+  conn->closed.store(true, std::memory_order_release);
   ::epoll_ctl(et->epfd, EPOLL_CTL_DEL, conn->fd, nullptr);
   et->conns.erase(conn->fd);
   closed_.fetch_add(1, std::memory_order_relaxed);

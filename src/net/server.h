@@ -142,7 +142,14 @@ class Server {
   /// Flushes conn's output queue from the owning event thread. Returns
   /// false when the connection died (peer reset).
   bool FlushConn(EventThread* et, const std::shared_ptr<Conn>& conn);
+  /// Ends a conversation gracefully: FIN after the last queued whole frame,
+  /// then a lingering close that never blocks the event thread.
   void CloseConn(EventThread* et, const std::shared_ptr<Conn>& conn);
+  /// Discards pending input; true once the fd may be closed without the
+  /// peer losing output (peer EOF, all output acknowledged, or deadline).
+  static bool LingerDone(Conn* conn);
+  /// Closes the fd now (lingering done, or the drain deadline forces it).
+  void FinishClose(EventThread* et, const std::shared_ptr<Conn>& conn);
   void SendGoAway(EventThread* et, const std::shared_ptr<Conn>& conn,
                   WireStatus status, std::string_view reason);
   void WakeThread(size_t index);

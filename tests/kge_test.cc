@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
+#include <set>
+#include <tuple>
+#include <utility>
 
 #include "kge/bilinear_models.h"
 #include "kge/evaluator.h"
+#include "kge/grad_sink.h"
 #include "kge/multimodal_models.h"
 #include "kge/negative_sampler.h"
 #include "kge/text_models.h"
@@ -269,6 +275,215 @@ TEST(NegativeSamplerTest, BernoulliSkewsTowardTailForNto1) {
     }
   }
   EXPECT_LT(static_cast<double>(head_corruptions) / total, 0.2);
+}
+
+// A dense world for the known-triple set: about two thirds of all
+// (h, r, t) over 7 entities and 2 relations are train triples, so filtered
+// corruption collides often and sometimes exhausts its retries.
+Dataset MakeDenseDataset() {
+  Dataset ds;
+  for (int i = 0; i < 7; ++i) {
+    ds.entity_names.push_back("e" + std::to_string(i));
+    ds.entity_text.push_back("t");
+    ds.entity_images.push_back({});
+  }
+  ds.relation_names = {"r0", "r1"};
+  for (uint32_t h = 0; h < 7; ++h) {
+    for (uint32_t r = 0; r < 2; ++r) {
+      for (uint32_t t = 0; t < 7; ++t) {
+        if ((h + t + r) % 3 != 0) ds.train.push_back({h, r, t});
+      }
+    }
+  }
+  return ds;
+}
+
+TEST(KnownTripleSetTest, EveryTrainTripleIsKnown) {
+  for (const Dataset& ds : {MakeTinyDataset(50), MakeDenseDataset()}) {
+    NegativeSampler sampler(ds, {}, 3);
+    for (const LpTriple& t : ds.train) {
+      EXPECT_TRUE(sampler.IsKnownPositive(t))
+          << "(" << t.h << "," << t.r << "," << t.t << ")";
+    }
+  }
+}
+
+TEST(KnownTripleSetTest, RandomNonMembersAreNotKnown) {
+  Dataset ds = MakeTinyDataset(50);
+  NegativeSampler sampler(ds, {}, 3);
+  std::set<std::tuple<uint32_t, uint32_t, uint32_t>> members;
+  for (const LpTriple& t : ds.train) members.insert({t.h, t.r, t.t});
+  util::Rng rng(41);
+  size_t checked = 0;
+  while (checked < 2000) {
+    // Ids beyond the id space too: the set must answer for any triple.
+    LpTriple t{static_cast<uint32_t>(rng.Uniform(60)),
+               static_cast<uint32_t>(rng.Uniform(4)),
+               static_cast<uint32_t>(rng.Uniform(60))};
+    if (members.count({t.h, t.r, t.t})) continue;
+    EXPECT_FALSE(sampler.IsKnownPositive(t))
+        << "(" << t.h << "," << t.r << "," << t.t << ")";
+    ++checked;
+  }
+  EXPECT_FALSE(sampler.IsKnownPositive({UINT32_MAX, 0, 0}));
+}
+
+TEST(KnownTripleSetTest, NeighboursDifferingInTailOrRelationAreDistinct) {
+  // Train holds (h, 0, t) only; (h, 0, t+1) and (h, 1, t) share the head
+  // and all but one field, and must all miss.
+  Dataset ds = MakeTinyDataset(20);
+  ds.relation_names.push_back("rel3");
+  std::vector<LpTriple> rel0;
+  for (const LpTriple& t : ds.train) {
+    if (t.r == 0) rel0.push_back(t);
+  }
+  ds.train = rel0;
+  NegativeSampler sampler(ds, {}, 5);
+  for (const LpTriple& t : ds.train) {
+    EXPECT_TRUE(sampler.IsKnownPositive(t));
+    EXPECT_FALSE(sampler.IsKnownPositive({t.h, 1, t.t}));
+    EXPECT_FALSE(sampler.IsKnownPositive({t.h, 3, t.t}));
+    EXPECT_FALSE(sampler.IsKnownPositive({t.h, 0, (t.t + 1) % 20}));
+    EXPECT_FALSE(sampler.IsKnownPositive({t.h, 0, t.t + 20}));
+  }
+}
+
+TEST(KnownTripleSetTest, SingleTripleDataset) {
+  Dataset ds;
+  for (int i = 0; i < 3; ++i) {
+    ds.entity_names.push_back("e" + std::to_string(i));
+    ds.entity_text.push_back("t");
+    ds.entity_images.push_back({});
+  }
+  ds.relation_names.push_back("r");
+  ds.train.push_back({1, 0, 2});
+  NegativeSampler sampler(ds, {}, 9);
+  EXPECT_TRUE(sampler.IsKnownPositive({1, 0, 2}));
+  EXPECT_FALSE(sampler.IsKnownPositive({2, 0, 1}));
+  EXPECT_FALSE(sampler.IsKnownPositive({1, 0, 0}));
+  EXPECT_FALSE(sampler.IsKnownPositive({0, 0, 2}));
+  for (int i = 0; i < 50; ++i) {
+    LpTriple neg = sampler.Corrupt(ds.train[0]);
+    EXPECT_NE(neg, ds.train[0]);
+    EXPECT_FALSE(sampler.IsKnownPositive(neg));
+  }
+}
+
+// The sampler's draw sequence, restated with a linear scan of the train
+// split as the membership test (uniform side choice, no bernoulli).
+LpTriple BruteForceCorrupt(const Dataset& ds, const LpTriple& pos,
+                           int max_retries, util::Rng* rng) {
+  const size_t n = ds.num_entities();
+  for (int attempt = 0; attempt < max_retries; ++attempt) {
+    LpTriple neg = pos;
+    bool corrupt_head = rng->UniformDouble() < 0.5;
+    uint32_t e = static_cast<uint32_t>(rng->Uniform(n));
+    (corrupt_head ? neg.h : neg.t) = e;
+    if (neg == pos ||
+        std::find(ds.train.begin(), ds.train.end(), neg) != ds.train.end()) {
+      continue;
+    }
+    return neg;
+  }
+  LpTriple neg = pos;
+  bool corrupt_head = rng->UniformDouble() < 0.5;
+  uint32_t orig = corrupt_head ? pos.h : pos.t;
+  uint32_t e = static_cast<uint32_t>((orig + 1 + rng->Uniform(n - 1)) % n);
+  (corrupt_head ? neg.h : neg.t) = e;
+  return neg;
+}
+
+TEST(KnownTripleSetTest, CorruptBatchMatchesBruteForceFilter) {
+  Dataset ds = MakeDenseDataset();
+  NegativeSampler::Options opts;
+  opts.max_retries = 3;  // dense enough that the fallback also runs
+  NegativeSampler sampler(ds, opts, 23);
+  util::Rng stream(1234), reference(1234);
+  std::vector<LpTriple> negs;
+  for (int round = 0; round < 20; ++round) {
+    sampler.CorruptBatch(ds.train, &negs, &stream);
+    ASSERT_EQ(negs.size(), ds.train.size());
+    for (size_t i = 0; i < ds.train.size(); ++i) {
+      EXPECT_EQ(negs[i], BruteForceCorrupt(ds, ds.train[i], opts.max_retries,
+                                           &reference))
+          << "round " << round << " triple " << i;
+    }
+  }
+}
+
+// Forwards every op to an OpLogSink and counts the AxpyRow ops per
+// (matrix, row).
+class CountingSink final : public GradSink {
+ public:
+  explicit CountingSink(OpLogSink* log) : log_(log) {}
+  void AxpyRow(nn::Matrix* m, uint32_t row, float alpha, const float* x,
+               size_t n) override {
+    ++axpys_[m][row];
+    log_->AxpyRow(m, row, alpha, x, n);
+  }
+  void ProjectToUnitBall(nn::Matrix* m, uint32_t row) override {
+    log_->ProjectToUnitBall(m, row);
+  }
+  void NormalizeRow(nn::Matrix* m, uint32_t row) override {
+    log_->NormalizeRow(m, row);
+  }
+  const std::map<uint32_t, size_t>& axpys(const nn::Matrix* m) {
+    return axpys_[m];
+  }
+
+ private:
+  OpLogSink* log_;
+  std::map<const nn::Matrix*, std::map<uint32_t, size_t>> axpys_;
+};
+
+TEST(TransEBatchTest, RelationRowsGetOneFlushPerDistinctRelation) {
+  Dataset ds = MakeTinyDataset(30);
+  // 90 pairs over 3 relations; a margin of 100 makes every pair active.
+  std::vector<LpTriple> pos = ds.train;
+  NegativeSampler sampler(ds, {}, 31);
+  std::vector<LpTriple> neg = sampler.CorruptBatch(pos);
+
+  util::Rng rng_a(5), rng_b(5);
+  TransE logged(ds.num_entities(), ds.num_relations(), 16, 100.0f, &rng_a);
+  TransE initial(ds.num_entities(), ds.num_relations(), 16, 100.0f, &rng_b);
+  OpLogSink log;
+  CountingSink counting(&log);
+  logged.TrainBatch(pos, neg, 0.01f, &counting);
+
+  const std::map<uint32_t, size_t>& rel =
+      counting.axpys(&logged.relations().matrix());
+  EXPECT_EQ(rel.size(), ds.num_relations());
+  for (const auto& [row, count] : rel) {
+    EXPECT_EQ(count, 1u) << "relation " << row;
+  }
+  // Entities still move once per side of every pair.
+  size_t entity_axpys = 0;
+  for (const auto& [row, count] : counting.axpys(&logged.entities().matrix())) {
+    entity_axpys += count;
+  }
+  EXPECT_EQ(entity_axpys, 4 * pos.size());
+
+  // The flushed step is the sum of every pair's -lr * sign(h + r - t),
+  // all taken at the batch-start rows (nothing moves until Replay).
+  const nn::Matrix& start = initial.relations().matrix();
+  std::vector<float> expected(start.data(), start.data() + start.size());
+  for (size_t i = 0; i < pos.size(); ++i) {
+    for (const auto& [t, dir] : {std::pair{pos[i], 1.0f}, {neg[i], -1.0f}}) {
+      const float* h = initial.entities().Row(t.h);
+      const float* r = initial.relations().Row(t.r);
+      const float* tt = initial.entities().Row(t.t);
+      for (size_t d = 0; d < 16; ++d) {
+        float diff = h[d] + r[d] - tt[d];
+        float g = dir * (diff > 0.0f ? 1.0f : (diff < 0.0f ? -1.0f : 0.0f));
+        expected[t.r * 16 + d] -= 0.01f * g;
+      }
+    }
+  }
+  log.Replay();
+  const nn::Matrix& got = logged.relations().matrix();
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_NEAR(got.data()[i], expected[i], 1e-5f) << "element " << i;
+  }
 }
 
 // A fake model whose scores are fully determined: score(h,r,t) = -|t - g|

@@ -247,6 +247,44 @@ TEST(HogwildTest, RacingUpdatesStillLearn) {
   EXPECT_GE(after.hits10, 0.2);
 }
 
+// Hogwild-safe stub that counts the triples its serial pre-pass sees.
+class PrePassCounter : public KgeModel {
+ public:
+  explicit PrePassCounter(const Dataset& ds)
+      : KgeModel(ds.num_entities(), ds.num_relations()) {}
+  std::string name() const override { return "PrePassCounter"; }
+  float ScoreTriple(uint32_t, uint32_t, uint32_t) const override {
+    return 0.0f;
+  }
+  double TrainPairs(const std::vector<LpTriple>&,
+                    const std::vector<LpTriple>&, float) override {
+    return 0.0;
+  }
+  TrainCaps train_caps() const override { return {true, false}; }
+  void AccumulateTargets(const std::vector<LpTriple>& pos) override {
+    accumulated += pos.size();
+  }
+  size_t accumulated = 0;
+};
+
+// The Hogwild pre-pass (TuckER's target index) is complete after one pass
+// over the train split, so each TrainKgeModel call runs it exactly once.
+TEST(HogwildTest, PrePassRunsOncePerCall) {
+  Dataset ds = MakeParityDataset();
+  for (size_t epochs : {1, 3, 7}) {
+    PrePassCounter model(ds);
+    TrainConfig config;
+    config.epochs = epochs;
+    config.batch_size = 32;
+    config.num_threads = 4;
+    config.mode = TrainMode::kHogwild;
+    TrainKgeModel(&model, ds, config);
+    EXPECT_EQ(model.accumulated, ds.train.size()) << "epochs=" << epochs;
+    TrainKgeModel(&model, ds, config);
+    EXPECT_EQ(model.accumulated, 2 * ds.train.size()) << "epochs=" << epochs;
+  }
+}
+
 // A model that declares no capabilities must fall back to the serial loop
 // under both parallel modes — with arithmetic identical to num_threads=1.
 TEST(StrategyFallbackTest, IncapableModelKeepsSerialArithmetic) {
