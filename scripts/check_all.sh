@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
-# The full pre-merge gauntlet: the default build's test suite, then the
-# AddressSanitizer, ThreadSanitizer, and UBSan presets (each in its own
-# build tree, see check_asan.sh / check_tsan.sh / check_ubsan.sh for scope
-# notes — the TSan run excludes the documented hogwild benign races), then
-# the chaos sweep: the randomized fault-injection harness across five
-# distinct seeds under both the default and TSan builds.
+# The full pre-merge gauntlet: the default build (-Wall -Wextra, every
+# warning an error) and its test suite, then the AddressSanitizer,
+# ThreadSanitizer, and UBSan presets (each in its own build tree, see
+# check_asan.sh / check_tsan.sh / check_ubsan.sh for scope notes — the TSan
+# run excludes the documented hogwild benign races), then the chaos sweep:
+# the randomized fault-injection harness across five distinct seeds under
+# both the default and TSan builds.
 # Usage: scripts/check_all.sh [extra ctest args for the default run...]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "==> default build + tests"
-cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
+echo "==> default build (warnings are errors) + tests"
+cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)" "$@"
 
@@ -27,7 +28,8 @@ scripts/check_ubsan.sh
 echo "==> sharded-store leg: snapshot + OBGSNAP2 suites, default + ASan"
 # The out-of-core path gets an explicit pass on top of the full-suite runs
 # above: the container format and parity/corruption sweeps under the default
-# build and ASan (mmap'd reads under UBSan are in check_ubsan.sh's filter).
+# build and ASan (check_ubsan.sh runs them, and every other suite, under
+# UBSan).
 ctest --test-dir build --output-on-failure -R '^(snapshot_test|sharded_store_test)$'
 ctest --test-dir build-asan --output-on-failure -R '^(snapshot_test|sharded_store_test)$'
 

@@ -460,13 +460,13 @@ bool Server::ParseFrames(EventThread* et, const std::shared_ptr<Conn>& conn) {
       QueueFrame(conn, std::move(frame));
       continue;
     }
-    HandleFrame(et, conn, header, std::move(payload));
+    HandleFrame(conn, header, std::move(payload));
   }
   conn->in.erase(0, off);
   return ok;
 }
 
-void Server::HandleFrame(EventThread* et, const std::shared_ptr<Conn>& conn,
+void Server::HandleFrame(const std::shared_ptr<Conn>& conn,
                          const FrameHeader& header, std::string payload) {
   frames_in_.fetch_add(1, std::memory_order_relaxed);
 

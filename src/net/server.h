@@ -135,8 +135,8 @@ class Server {
   void AdoptIncoming(EventThread* et);
   bool ReadReady(EventThread* et, const std::shared_ptr<Conn>& conn);
   bool ParseFrames(EventThread* et, const std::shared_ptr<Conn>& conn);
-  void HandleFrame(EventThread* et, const std::shared_ptr<Conn>& conn,
-                   const FrameHeader& header, std::string payload);
+  void HandleFrame(const std::shared_ptr<Conn>& conn, const FrameHeader& header,
+                   std::string payload);
   void DispatchToWorker(const std::shared_ptr<Conn>& conn, WireRequest req);
   void QueueFrame(const std::shared_ptr<Conn>& conn, std::string frame);
   /// Flushes conn's output queue from the owning event thread. Returns

@@ -51,16 +51,6 @@ inline uint64_t EntityDepKey(TermId id) {
 ///    query results are deterministic.
 class DeltaSegment {
  public:
-  struct TripleHash {
-    size_t operator()(const Triple& t) const {
-      uint64_t h = t.s;
-      h = h * 0x9E3779B97F4A7C15ull + t.p;
-      h = h * 0x9E3779B97F4A7C15ull + t.o;
-      h ^= h >> 29;
-      return static_cast<size_t>(h);
-    }
-  };
-
   /// An empty delta (generation-1 snapshot of a freshly wrapped base).
   DeltaSegment() = default;
 
@@ -98,12 +88,8 @@ class DeltaSegment {
   /// small by compaction, so this is a filtered linear scan.
   template <typename Fn>
   void ForEachAdd(const TriplePattern& pattern, Fn&& fn) const {
-    constexpr TermId kAny = TriplePattern::kAny;
     for (const Triple& t : adds_) {
-      bool is_match = (pattern.s == kAny || pattern.s == t.s) &&
-                      (pattern.p == kAny || pattern.p == t.p) &&
-                      (pattern.o == kAny || pattern.o == t.o);
-      if (is_match && !fn(t)) return;
+      if (Matches(pattern, t) && !fn(t)) return;
     }
   }
 

@@ -73,13 +73,12 @@ util::Status LiveGraph::Apply(const UpdateBatch& batch) {
     return util::Status::Internal("live::publish failpoint fired");
   }
   util::Result<std::shared_ptr<const DeltaSegment>> next =
-      cur->base != nullptr
-          ? DeltaSegment::Build(cur->delta.get(), batch, *cur->base)
-          : DeltaSegment::Build(
-                cur->delta.get(), batch,
-                [store = cur->sharded.get()](const Triple& t) {
-                  return store->Contains(t.s, t.p, t.o);
-                });
+      cur->WithBase([&](const auto& b) {
+        return DeltaSegment::Build(cur->delta.get(), batch,
+                                   [&b](const Triple& t) {
+                                     return b.Contains(t.s, t.p, t.o);
+                                   });
+      });
   if (!next.ok()) return next.status();
   uint64_t next_gen = cur->generation + 1;
   if (!options_.delta_dir.empty()) {

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -29,33 +28,22 @@ namespace openbg::rdf {
 /// long as they like — a concurrent publish or compaction swaps the
 /// *handle*, never mutates a published snapshot, so in-flight requests
 /// finish on the version they started with (MVCC).
-struct GraphSnapshot {
+struct GraphSnapshot : TripleReads<GraphSnapshot> {
   /// Exactly one of `base` / `sharded` is set: an in-memory sealed store or
   /// an out-of-core OBGSNAP2 store. The delta overlay works identically on
-  /// either — LiveGraph and the serving layer dispatch through the helpers
-  /// below and never care which representation is underneath.
+  /// either; every read reaches the base through WithBase.
   std::shared_ptr<const TripleStore> base;
   std::shared_ptr<const ShardedStore> sharded;
   std::shared_ptr<const DeltaSegment> delta;  // may be null (= empty)
   uint64_t generation = 1;
 
-  /// Matching triples of the base representation only (no delta).
-  template <typename Fn>
-  void BaseForEach(const TriplePattern& pattern, Fn&& fn) const {
-    if (sharded != nullptr) {
-      sharded->ForEachMatchFn(pattern, std::forward<Fn>(fn));
-    } else {
-      base->ForEachMatchFn(pattern, std::forward<Fn>(fn));
-    }
-  }
-
-  bool BaseContains(TermId s, TermId p, TermId o) const {
-    return sharded != nullptr ? sharded->Contains(s, p, o)
-                              : base->Contains(s, p, o);
-  }
-
-  size_t BaseSize() const {
-    return sharded != nullptr ? sharded->size() : base->size();
+  /// The one dispatch point over the base representation: returns
+  /// `f(*sharded)` or `f(*base)`, so `f` (a generic lambda) is written once
+  /// against the read primitives both stores share.
+  template <typename F>
+  decltype(auto) WithBase(F&& f) const {
+    if (sharded != nullptr) return f(*sharded);
+    return f(*base);
   }
 
   /// True when the base representation is healthy. An in-memory base is
@@ -65,61 +53,32 @@ struct GraphSnapshot {
   bool BaseOk() const { return sharded == nullptr || sharded->ok(); }
 
   /// Calls `fn` for every live triple matching `pattern`: base triples not
-  /// retracted by the delta (index-pruned via the base's PrefixRange), then
-  /// delta adds, each in deterministic order. Stops early on false.
+  /// retracted by the delta (index-pruned by the base's plan), then delta
+  /// adds, each in deterministic order. Stops early on false.
   template <typename Fn>
   void ForEachMatchFn(const TriplePattern& pattern, Fn&& fn) const {
     bool stopped = false;
-    if (delta == nullptr || delta->num_retracts() == 0) {
-      BaseForEach(pattern, [&](const Triple& t) {
-        if (!fn(t)) {
-          stopped = true;
-          return false;
-        }
-        return true;
+    WithBase([&](const auto& b) {
+      b.ForEachMatchFn(pattern, [&](const Triple& t) {
+        if (delta != nullptr && delta->IsRetracted(t)) return true;
+        stopped = !fn(t);
+        return !stopped;
       });
-    } else {
-      BaseForEach(pattern, [&](const Triple& t) {
-        if (delta->IsRetracted(t)) return true;
-        if (!fn(t)) {
-          stopped = true;
-          return false;
-        }
-        return true;
-      });
-    }
+    });
     if (stopped || delta == nullptr) return;
     delta->ForEachAdd(pattern, fn);
-  }
-
-  size_t CountMatches(const TriplePattern& pattern) const {
-    size_t n = 0;
-    ForEachMatchFn(pattern, [&n](const Triple&) {
-      ++n;
-      return true;
-    });
-    return n;
-  }
-
-  std::vector<Triple> Match(const TriplePattern& pattern) const {
-    std::vector<Triple> out;
-    ForEachMatchFn(pattern, [&out](const Triple& t) {
-      out.push_back(t);
-      return true;
-    });
-    return out;
   }
 
   bool Contains(TermId s, TermId p, TermId o) const {
     Triple t{s, p, o};
     if (delta != nullptr && delta->ContainsAdd(t)) return true;
     if (delta != nullptr && delta->IsRetracted(t)) return false;
-    return BaseContains(s, p, o);
+    return WithBase([&](const auto& b) { return b.Contains(s, p, o); });
   }
 
   /// Live triple count: base minus retracts plus adds.
   size_t size() const {
-    size_t n = BaseSize();
+    size_t n = WithBase([](const auto& b) { return b.size(); });
     if (delta != nullptr) n = n - delta->num_retracts() + delta->adds().size();
     return n;
   }

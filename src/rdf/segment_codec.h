@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace openbg::rdf {
@@ -80,6 +81,35 @@ inline BlockMeta BlockMetaAt(const uint8_t* index_data, size_t i) {
   std::memcpy(&m.count, p + 28, 4);
   std::memcpy(&m.crc, p + 32, 4);
   return m;
+}
+
+/// First block whose first key is > `key`; blocks [result-1 ..] may contain
+/// keys >= `key`.
+inline size_t UpperBoundBlock(const uint8_t* index, size_t num_blocks,
+                              const SegmentKey& key) {
+  size_t lo = 0, hi = num_blocks;
+  while (lo < hi) {
+    size_t mid = lo + (hi - lo) / 2;
+    BlockMeta m = BlockMetaAt(index, mid);
+    SegmentKey first = {m.k0, m.k1, m.k2};
+    if (key < first) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+/// Payload byte extent of block `bi` (valid after the index is validated).
+inline std::pair<size_t, size_t> BlockExtent(const uint8_t* index,
+                                             size_t num_blocks,
+                                             size_t payload_len, size_t bi) {
+  BlockMeta m = BlockMetaAt(index, bi);
+  size_t end = (bi + 1 < num_blocks)
+                   ? static_cast<size_t>(BlockMetaAt(index, bi + 1).payload_offset)
+                   : payload_len;
+  return {static_cast<size_t>(m.payload_offset), end};
 }
 
 /// Encodes one segment: feed keys in strictly increasing order, then

@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <queue>
 #include <utility>
 
 #include "util/atomic_file.h"
@@ -50,64 +49,6 @@ std::string SpillPath(const std::string& dir, uint32_t shard) {
 void AppendLe(std::string* out, const void* v, size_t n) {
   // Little-endian hosts only (x86-64 / aarch64), matching util/snapshot.cc.
   out->append(static_cast<const char*>(v), n);
-}
-
-// Permuted key of `t` in order `ord` — must match KeyOf in triple_store.cc.
-inline SegmentKey TripleToKey(const Triple& t, int ord) {
-  switch (ord) {
-    case 0:  // SPO
-      return {t.s, t.p, t.o};
-    case 1:  // POS
-      return {t.p, t.o, t.s};
-    default:  // OSP
-      return {t.o, t.s, t.p};
-  }
-}
-
-inline Triple KeyToTriple(const SegmentKey& k, int ord) {
-  switch (ord) {
-    case 0:
-      return Triple{k[0], k[1], k[2]};
-    case 1:
-      return Triple{k[2], k[0], k[1]};
-    default:
-      return Triple{k[1], k[2], k[0]};
-  }
-}
-
-inline bool Matches(const TriplePattern& p, const Triple& t) {
-  constexpr TermId kAny = TriplePattern::kAny;
-  return (p.s == kAny || p.s == t.s) && (p.p == kAny || p.p == t.p) &&
-         (p.o == kAny || p.o == t.o);
-}
-
-// First block whose first key is > `key`; blocks [result-1 ..] may contain
-// keys >= `key`.
-size_t UpperBoundBlock(const uint8_t* index, size_t num_blocks,
-                       const SegmentKey& key) {
-  size_t lo = 0, hi = num_blocks;
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    BlockMeta m = BlockMetaAt(index, mid);
-    SegmentKey first = {m.k0, m.k1, m.k2};
-    if (key < first) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
-}
-
-// Payload byte extent of block `bi` (valid after the index is validated).
-inline std::pair<size_t, size_t> BlockExtent(const uint8_t* index,
-                                             size_t num_blocks,
-                                             size_t payload_len, size_t bi) {
-  BlockMeta m = BlockMetaAt(index, bi);
-  size_t end = (bi + 1 < num_blocks)
-                   ? static_cast<size_t>(BlockMetaAt(index, bi + 1).payload_offset)
-                   : payload_len;
-  return {static_cast<size_t>(m.payload_offset), end};
 }
 
 // Structural validation of a block-index segment: contiguous offsets,
@@ -264,7 +205,7 @@ util::Status ShardedStoreBuilder::EncodeShard(uint32_t shard,
     }
   }
   auto spo_less = [](const Triple& a, const Triple& b) {
-    return TripleToKey(a, 0) < TripleToKey(b, 0);
+    return KeyOf(a, 0) < KeyOf(b, 0);
   };
   std::sort(triples.begin(), triples.end(), spo_less);
   triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
@@ -275,7 +216,7 @@ util::Status ShardedStoreBuilder::EncodeShard(uint32_t shard,
   std::vector<SegmentKey> keys(triples.size());
   for (int ord = 0; ord < 3; ++ord) {
     for (size_t i = 0; i < triples.size(); ++i) {
-      keys[i] = TripleToKey(triples[i], ord);
+      keys[i] = KeyOf(triples[i], ord);
     }
     if (ord != 0) std::sort(keys.begin(), keys.end());
     SegmentEncoder enc(options_.block_size);
@@ -643,160 +584,36 @@ bool ShardedStore::CheckBlock(const OrderSeg& seg, size_t block) const {
 // Queries
 // ---------------------------------------------------------------------------
 
-ShardedStore::Plan ShardedStore::MakePlan(const TriplePattern& p) {
-  constexpr TermId kAny = TriplePattern::kAny;
-  Plan plan;
-  uint32_t a = 0, b = 0;
-  if (p.s != kAny && p.p != kAny) {
-    plan.ord = 0;
-    plan.bound = 2;
-    a = p.s;
-    b = p.p;
-  } else if (p.p != kAny && p.o != kAny) {
-    plan.ord = 1;
-    plan.bound = 2;
-    a = p.p;
-    b = p.o;
-  } else if (p.s != kAny && p.o != kAny) {
-    plan.ord = 2;  // OSP order is (o, s, p): prefix (o, s)
-    plan.bound = 2;
-    a = p.o;
-    b = p.s;
-  } else if (p.s != kAny) {
-    plan.ord = 0;
-    plan.bound = 1;
-    a = p.s;
-  } else if (p.p != kAny) {
-    plan.ord = 1;
-    plan.bound = 1;
-    a = p.p;
-  } else if (p.o != kAny) {
-    plan.ord = 2;
-    plan.bound = 1;
-    a = p.o;
-  } else {
-    plan.ord = 0;  // full scan: global SPO order
-    plan.bound = 0;
-    return plan;
-  }
-  // Bound components are real term ids (< kInvalidTerm = 0xFFFFFFFF), so
-  // the +1 below cannot wrap.
-  if (plan.bound == 2) {
-    plan.lo = {a, b, 0};
-    plan.hi = {a, b + 1, 0};
-  } else {
-    plan.lo = {a, 0, 0};
-    plan.hi = {a + 1, 0, 0};
-  }
-  return plan;
+void ShardedStore::LatchMalformedBlock(const Shard& shard, int ord,
+                                       size_t block) const {
+  blocks_corrupt_.fetch_add(1, std::memory_order_relaxed);
+  LatchCorrupt(util::StrFormat("%s order %d block %zu: malformed varint "
+                               "stream",
+                               shard.file.path().c_str(), ord, block));
 }
 
-bool ShardedStore::ScanShard(const Shard& shard, const Plan& plan,
-                             const TriplePattern& pattern,
-                             const std::function<bool(const Triple&)>& sink,
-                             bool* stopped) const {
-  const OrderSeg& seg = shard.orders[plan.ord];
-  if (shard.triple_count == 0 || seg.num_blocks == 0) return true;
-  if (!CheckIndex(shard, plan.ord)) return false;
-  size_t bi = 0;
-  if (plan.bound > 0) {
-    size_t ub = UpperBoundBlock(seg.index, seg.num_blocks, plan.lo);
-    bi = ub > 0 ? ub - 1 : 0;
-  }
-  for (; bi < seg.num_blocks; ++bi) {
-    BlockMeta m = BlockMetaAt(seg.index, bi);
-    if (plan.bound > 0) {
-      SegmentKey first = {m.k0, m.k1, m.k2};
-      if (!(first < plan.hi)) break;  // every later key is past the range
-    }
-    if (!CheckBlock(seg, bi)) return false;
-    auto [begin, end] =
-        BlockExtent(seg.index, seg.num_blocks, seg.payload_len, bi);
-    BlockDecoder dec(seg.payload + begin, end - begin, m.count);
-    SegmentKey k;
-    while (dec.Next(&k)) {
-      if (plan.bound > 0) {
-        if (k < plan.lo) continue;
-        if (!(k < plan.hi)) return true;  // sorted: range exhausted
-      }
-      Triple t = KeyToTriple(k, plan.ord);
-      if (Matches(pattern, t) && !sink(t)) {
-        *stopped = true;
-        return true;
-      }
-    }
-    if (!dec.ok()) {
-      blocks_corrupt_.fetch_add(1, std::memory_order_relaxed);
-      LatchCorrupt(util::StrFormat("%s order %d block %zu: malformed varint "
-                                   "stream",
-                                   shard.file.path().c_str(), plan.ord, bi));
-      return false;
-    }
-  }
-  return true;
-}
-
-void ShardedStore::ForEachMatch(
-    const TriplePattern& pattern,
-    const std::function<bool(const Triple&)>& fn) const {
-  if (!ok() || shards_.empty()) return;
-  const Plan plan = MakePlan(pattern);
-  bool stopped = false;
-  if (pattern.s != TriplePattern::kAny) {
-    // Single-shard route: the subject's shard holds every candidate, and
-    // its segment order IS the documented iteration order — stream with
-    // early stop, no merge.
-    const Shard& shard =
-        *shards_[ShardOfSubject(pattern.s, num_shards())];
-    ScanShard(shard, plan, pattern, fn, &stopped);
-    return;
-  }
-  // Fan-out: collect per shard (in parallel when a pool is bound; shard i
-  // is scanned wholly by one worker — per-shard affinity keeps each
-  // worker's page touches local to few mappings), then merge serially in
-  // plan.ord key order, which equals the in-memory store's iteration order.
+bool ShardedStore::ScanAllShards(const PatternPlan& plan,
+                                 const TriplePattern& pattern,
+                                 std::vector<std::vector<Triple>>* per) const {
+  // Shard i is scanned wholly by one worker: per-shard affinity keeps each
+  // worker's page touches local to few mappings.
   const size_t n = shards_.size();
-  std::vector<std::vector<Triple>> per(n);
+  per->assign(n, {});
   std::atomic<bool> bad{false};
   util::ParallelFor(options_.pool, n,
                     [&](size_t /*worker*/, size_t begin, size_t end) {
                       for (size_t i = begin; i < end; ++i) {
-                        bool shard_stopped = false;
-                        auto sink = [&per, i](const Triple& t) {
-                          per[i].push_back(t);
+                        std::vector<Triple>& out = (*per)[i];
+                        auto sink = [&out](const Triple& t) {
+                          out.push_back(t);
                           return true;
                         };
-                        if (!ScanShard(*shards_[i], plan, pattern, sink,
-                                       &shard_stopped)) {
+                        if (!ScanShard(*shards_[i], plan, pattern, sink)) {
                           bad.store(true, std::memory_order_relaxed);
                         }
                       }
                     });
-  if (bad.load(std::memory_order_relaxed)) return;  // latched corrupt
-  struct Head {
-    SegmentKey key;
-    size_t shard;
-    size_t idx;
-  };
-  auto greater = [](const Head& a, const Head& b) { return b.key < a.key; };
-  std::priority_queue<Head, std::vector<Head>, decltype(greater)> heads(
-      greater);
-  for (size_t i = 0; i < n; ++i) {
-    if (!per[i].empty()) {
-      heads.push({TripleToKey(per[i][0], plan.ord), i, 0});
-    }
-  }
-  while (!heads.empty()) {
-    Head h = heads.top();
-    heads.pop();
-    const Triple& t = per[h.shard][h.idx];
-    if (!fn(t)) return;
-    if (h.idx + 1 < per[h.shard].size()) {
-      heads.push(
-          {TripleToKey(per[h.shard][h.idx + 1], plan.ord), h.shard,
-           h.idx + 1});
-    }
-  }
+  return !bad.load(std::memory_order_relaxed);
 }
 
 bool ShardedStore::Contains(TermId s, TermId p, TermId o) const {
@@ -865,12 +682,13 @@ bool ShardedStore::RankLowerBound(const Shard& shard, int ord,
 
 size_t ShardedStore::ScanCost(const TriplePattern& pattern) const {
   if (!ok()) return 0;
-  const Plan plan = MakePlan(pattern);
+  const PatternPlan plan = PlanPattern(pattern);
   if (plan.bound == 0) return static_cast<size_t>(total_triples_);
-  auto range_of = [this, &plan](const Shard& shard, uint64_t* out) {
+  const auto [lo_key, hi_key] = KeyRange(plan);
+  auto range_of = [&](const Shard& shard, uint64_t* out) {
     uint64_t lo = 0, hi = 0;
-    if (!RankLowerBound(shard, plan.ord, plan.lo, &lo)) return false;
-    if (!RankLowerBound(shard, plan.ord, plan.hi, &hi)) return false;
+    if (!RankLowerBound(shard, plan.ord, lo_key, &lo)) return false;
+    if (!RankLowerBound(shard, plan.ord, hi_key, &hi)) return false;
     *out = hi - lo;
     return true;
   };
@@ -886,54 +704,6 @@ size_t ShardedStore::ScanCost(const TriplePattern& pattern) const {
     cost += r;
   }
   return static_cast<size_t>(cost);
-}
-
-std::vector<Triple> ShardedStore::Match(const TriplePattern& pattern) const {
-  std::vector<Triple> out;
-  ForEachMatch(pattern, [&out](const Triple& t) {
-    out.push_back(t);
-    return true;
-  });
-  return out;
-}
-
-size_t ShardedStore::CountMatches(const TriplePattern& pattern) const {
-  size_t n = 0;
-  ForEachMatch(pattern, [&n](const Triple&) {
-    ++n;
-    return true;
-  });
-  return n;
-}
-
-std::vector<TermId> ShardedStore::Objects(TermId s, TermId p) const {
-  std::vector<TermId> out;
-  ForEachMatch(TriplePattern{s, p, TriplePattern::kAny},
-               [&out](const Triple& t) {
-                 out.push_back(t.o);
-                 return true;
-               });
-  return out;
-}
-
-std::vector<TermId> ShardedStore::Subjects(TermId p, TermId o) const {
-  std::vector<TermId> out;
-  ForEachMatch(TriplePattern{TriplePattern::kAny, p, o},
-               [&out](const Triple& t) {
-                 out.push_back(t.s);
-                 return true;
-               });
-  return out;
-}
-
-TermId ShardedStore::FirstObject(TermId s, TermId p) const {
-  TermId found = kInvalidTerm;
-  ForEachMatch(TriplePattern{s, p, TriplePattern::kAny},
-               [&found](const Triple& t) {
-                 found = t.o;
-                 return false;
-               });
-  return found;
 }
 
 std::vector<TermId> ShardedStore::DistinctPredicates() const {

@@ -3,10 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
+#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rdf/segment_codec.h"
@@ -122,7 +123,7 @@ struct ShardedStoreStats {
   std::string first_error;
 };
 
-class ShardedStore {
+class ShardedStore : public TripleReads<ShardedStore> {
  public:
   /// Opens (and per OpenOptions verifies) the store at `dir`. Fails closed:
   /// a non-OK result means nothing is mapped and no partial state exists.
@@ -148,31 +149,50 @@ class ShardedStore {
 
   bool Contains(TermId s, TermId p, TermId o) const;
 
-  /// Calls `fn` for each matching triple in the documented order; stops
-  /// early when `fn` returns false. On a corrupt store: no calls.
-  void ForEachMatch(const TriplePattern& pattern,
-                    const std::function<bool(const Triple&)>& fn) const;
-
-  /// Template shim matching TripleStore::ForEachMatchFn, so GraphSnapshot
-  /// and the evaluators compile against either store unchanged. The
-  /// std::function hop it pays is noise against block decode + page-in.
+  /// Calls `fn(const Triple&)` for each matching triple in the documented
+  /// order; stops early when `fn` returns false. On a corrupt store: no
+  /// calls. A bound subject streams its one shard with early stop; other
+  /// patterns collect per shard (in parallel when a pool is bound) and
+  /// merge serially in the planned order's key order.
   template <typename Fn>
   void ForEachMatchFn(const TriplePattern& pattern, Fn&& fn) const {
-    ForEachMatch(pattern,
-                 std::function<bool(const Triple&)>(std::forward<Fn>(fn)));
+    if (!ok() || shards_.empty()) return;
+    const PatternPlan plan = PlanPattern(pattern);
+    if (pattern.s != TriplePattern::kAny) {
+      ScanShard(*shards_[ShardOfSubject(pattern.s, num_shards())], plan,
+                pattern, fn);
+      return;
+    }
+    std::vector<std::vector<Triple>> per;
+    if (!ScanAllShards(plan, pattern, &per)) return;  // latched corrupt
+    struct Head {
+      SegmentKey key;
+      size_t shard;
+      size_t idx;
+    };
+    auto greater = [](const Head& a, const Head& b) { return b.key < a.key; };
+    std::priority_queue<Head, std::vector<Head>, decltype(greater)> heads(
+        greater);
+    for (size_t i = 0; i < per.size(); ++i) {
+      if (!per[i].empty()) heads.push({KeyOf(per[i][0], plan.ord), i, 0});
+    }
+    while (!heads.empty()) {
+      Head h = heads.top();
+      heads.pop();
+      if (!fn(per[h.shard][h.idx])) return;
+      if (++h.idx < per[h.shard].size()) {
+        h.key = KeyOf(per[h.shard][h.idx], plan.ord);
+        heads.push(h);
+      }
+    }
   }
 
-  std::vector<Triple> Match(const TriplePattern& pattern) const;
-  size_t CountMatches(const TriplePattern& pattern) const;
-
   /// Exact parity with TripleStore::ScanCost: the global candidate range
-  /// size for the pattern's chosen index prefix (summed across shards for
+  /// size for the pattern's planned index prefix (summed across shards for
   /// fan-out patterns, `size()` for the unbound pattern).
   size_t ScanCost(const TriplePattern& pattern) const;
 
-  std::vector<TermId> Objects(TermId s, TermId p) const;
-  std::vector<TermId> Subjects(TermId p, TermId o) const;
-  TermId FirstObject(TermId s, TermId p) const;
+  /// Distinct predicates present in the store, ascending.
   std::vector<TermId> DistinctPredicates() const;
 
   /// Mirrors TripleStore::IndexesSealed(): an on-disk store is sealed by
@@ -199,28 +219,66 @@ class ShardedStore {
   struct Shard {
     util::MappedFile file;
     uint64_t triple_count = 0;
-    OrderSeg orders[3];
+    OrderSeg orders[3];  // KeyOf numbering
   };
-
-  // Index selection + candidate key range for a pattern; mirrors
-  // TripleStore::PrefixRange exactly (that is what the parity suite pins).
-  struct Plan {
-    int ord = 0;    // 0 SPO, 1 POS, 2 OSP
-    int bound = 0;  // bound prefix length; 0 means full scan
-    SegmentKey lo = {0, 0, 0};  // inclusive
-    SegmentKey hi = {0, 0, 0};  // exclusive (unused when bound == 0)
-  };
-  static Plan MakePlan(const TriplePattern& pattern);
 
   ShardedStore() = default;
 
+  // [lo, hi) of the keys in order plan.ord that start with the plan's bound
+  // prefix (plan.bound > 0). Bound components are real term ids
+  // (< kInvalidTerm = 0xFFFFFFFF), so the +1 cannot wrap.
+  static std::pair<SegmentKey, SegmentKey> KeyRange(const PatternPlan& plan) {
+    const TermId a = plan.prefix[0], b = plan.prefix[1];
+    if (plan.bound == 2) return {{a, b, 0}, {a, b + 1, 0}};
+    return {{a, 0, 0}, {a + 1, 0, 0}};
+  }
+
   // Streams `pattern`'s candidate range of one shard (in plan.ord key
-  // order) into `sink`; `*stopped` reports an early stop requested by the
-  // sink. Returns false on corruption (latched).
-  bool ScanShard(const Shard& shard, const Plan& plan,
-                 const TriplePattern& pattern,
-                 const std::function<bool(const Triple&)>& sink,
-                 bool* stopped) const;
+  // order) into `sink` until it returns false. Returns false on corruption
+  // (latched).
+  template <typename Sink>
+  bool ScanShard(const Shard& shard, const PatternPlan& plan,
+                 const TriplePattern& pattern, Sink& sink) const {
+    const OrderSeg& seg = shard.orders[plan.ord];
+    if (shard.triple_count == 0 || seg.num_blocks == 0) return true;
+    if (!CheckIndex(shard, plan.ord)) return false;
+    const auto [lo, hi] = KeyRange(plan);
+    size_t bi = 0;
+    if (plan.bound > 0) {
+      size_t ub = UpperBoundBlock(seg.index, seg.num_blocks, lo);
+      bi = ub > 0 ? ub - 1 : 0;
+    }
+    for (; bi < seg.num_blocks; ++bi) {
+      BlockMeta m = BlockMetaAt(seg.index, bi);
+      if (plan.bound > 0) {
+        SegmentKey first = {m.k0, m.k1, m.k2};
+        if (!(first < hi)) break;  // every later key is past the range
+      }
+      if (!CheckBlock(seg, bi)) return false;
+      auto [begin, end] =
+          BlockExtent(seg.index, seg.num_blocks, seg.payload_len, bi);
+      BlockDecoder dec(seg.payload + begin, end - begin, m.count);
+      SegmentKey k;
+      while (dec.Next(&k)) {
+        if (plan.bound > 0) {
+          if (k < lo) continue;
+          if (!(k < hi)) return true;  // sorted: range exhausted
+        }
+        const Triple t = TripleOfKey(k, plan.ord);
+        if (Matches(pattern, t) && !sink(t)) return true;
+      }
+      if (!dec.ok()) {
+        LatchMalformedBlock(shard, plan.ord, bi);
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // Fan-out half of ForEachMatchFn: every shard's matches, in plan.ord key
+  // order, one vector per shard. Returns false on corruption (latched).
+  bool ScanAllShards(const PatternPlan& plan, const TriplePattern& pattern,
+                     std::vector<std::vector<Triple>>* per) const;
 
   // Rank of the first key >= `key` in the shard's `ord` segment (exact;
   // decodes at most one block). Returns false on corruption.
@@ -233,6 +291,9 @@ class ShardedStore {
   bool CheckBlock(const OrderSeg& seg, size_t block) const;
 
   void LatchCorrupt(const std::string& message) const;
+  // A block whose varint stream would not decode during a scan: counted in
+  // blocks_corrupt_ and latched.
+  void LatchMalformedBlock(const Shard& shard, int ord, size_t block) const;
 
   std::string dir_;
   ShardedOpenOptions options_;

@@ -1,9 +1,9 @@
 #ifndef OPENBG_RDF_TRIPLE_STORE_H_
 #define OPENBG_RDF_TRIPLE_STORE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <unordered_set>
 #include <vector>
@@ -27,6 +27,138 @@ struct TriplePattern {
   TermId s = kAny;
   TermId p = kAny;
   TermId o = kAny;
+};
+
+/// Hash of a whole triple, for the stores' and overlays' triple sets.
+struct TripleHash {
+  size_t operator()(const Triple& t) const {
+    uint64_t h = t.s;
+    h = h * 0x9E3779B97F4A7C15ull + t.p;
+    h = h * 0x9E3779B97F4A7C15ull + t.o;
+    h ^= h >> 29;
+    return static_cast<size_t>(h);
+  }
+};
+
+/// True iff `t` agrees with every bound component of `pattern`: the
+/// residual filter after an index has narrowed the candidates.
+inline bool Matches(const TriplePattern& pattern, const Triple& t) {
+  constexpr TermId kAny = TriplePattern::kAny;
+  return (pattern.s == kAny || pattern.s == t.s) &&
+         (pattern.p == kAny || pattern.p == t.p) &&
+         (pattern.o == kAny || pattern.o == t.o);
+}
+
+/// The three sort orders every store indexes, by number: 0 SPO, 1 POS,
+/// 2 OSP. KeyOf permutes a triple into order `ord`'s (first, second, third)
+/// key; TripleOfKey inverts it. Both stores sort by exactly these keys.
+inline std::array<TermId, 3> KeyOf(const Triple& t, int ord) {
+  switch (ord) {
+    case 0:
+      return {t.s, t.p, t.o};
+    case 1:
+      return {t.p, t.o, t.s};
+    default:
+      return {t.o, t.s, t.p};
+  }
+}
+
+inline Triple TripleOfKey(const std::array<TermId, 3>& k, int ord) {
+  switch (ord) {
+    case 0:
+      return Triple{k[0], k[1], k[2]};
+    case 1:
+      return Triple{k[2], k[0], k[1]};
+    default:
+      return Triple{k[1], k[2], k[0]};
+  }
+}
+
+/// Index choice for one pattern: the order whose key starts with the
+/// longest run of bound components (at most two), and that bound prefix.
+/// Every bound pair has a two-component prefix — (s,p) SPO, (p,o) POS,
+/// (s,o) OSP as (o,s) — so no pair degrades to a one-term range plus a
+/// filter scan. `bound == 0` (the unbound pattern) means a full scan.
+struct PatternPlan {
+  int ord = 0;
+  int bound = 0;
+  std::array<TermId, 2> prefix = {TriplePattern::kAny, TriplePattern::kAny};
+};
+
+inline PatternPlan PlanPattern(const TriplePattern& pattern) {
+  PatternPlan plan;
+  for (int ord = 0; ord < 3; ++ord) {
+    const std::array<TermId, 3> k =
+        KeyOf(Triple{pattern.s, pattern.p, pattern.o}, ord);
+    int bound = 0;
+    while (bound < 2 && k[bound] != TriplePattern::kAny) ++bound;
+    if (bound > plan.bound) plan = {ord, bound, {k[0], k[1]}};
+  }
+  return plan;
+}
+
+/// The convenience reads, written once over a store's one scan primitive:
+/// `Self::ForEachMatchFn(pattern, fn)`, which calls `fn(const Triple&)` per
+/// match in the store's documented order and stops when `fn` returns false.
+/// TripleStore, ShardedStore and GraphSnapshot all inherit it (CRTP).
+template <typename Self>
+class TripleReads {
+ public:
+  /// Collects all triples matching `pattern`.
+  std::vector<Triple> Match(const TriplePattern& pattern) const {
+    std::vector<Triple> out;
+    self().ForEachMatchFn(pattern, [&out](const Triple& t) {
+      out.push_back(t);
+      return true;
+    });
+    return out;
+  }
+
+  /// Number of triples matching `pattern` (no materialization).
+  size_t CountMatches(const TriplePattern& pattern) const {
+    size_t n = 0;
+    self().ForEachMatchFn(pattern, [&n](const Triple&) {
+      ++n;
+      return true;
+    });
+    return n;
+  }
+
+  /// Objects `o` of all triples (s, p, o): the attribute-lookup path.
+  std::vector<TermId> Objects(TermId s, TermId p) const {
+    std::vector<TermId> out;
+    self().ForEachMatchFn(TriplePattern{s, p, TriplePattern::kAny},
+                          [&out](const Triple& t) {
+                            out.push_back(t.o);
+                            return true;
+                          });
+    return out;
+  }
+
+  /// Subjects `s` of all triples (s, p, o).
+  std::vector<TermId> Subjects(TermId p, TermId o) const {
+    std::vector<TermId> out;
+    self().ForEachMatchFn(TriplePattern{TriplePattern::kAny, p, o},
+                          [&out](const Triple& t) {
+                            out.push_back(t.s);
+                            return true;
+                          });
+    return out;
+  }
+
+  /// First object of (s, p, *), or kInvalidTerm.
+  TermId FirstObject(TermId s, TermId p) const {
+    TermId found = kInvalidTerm;
+    self().ForEachMatchFn(TriplePattern{s, p, TriplePattern::kAny},
+                          [&found](const Triple& t) {
+                            found = t.o;
+                            return false;
+                          });
+    return found;
+  }
+
+ private:
+  const Self& self() const { return static_cast<const Self&>(*this); }
 };
 
 /// Heap footprint of one TripleStore, broken out per structure so the serve
@@ -66,7 +198,7 @@ struct TripleStoreMemory {
 ///  * For contention-free hot paths, call `SealIndexes()` once after bulk
 ///    load: it builds all three sort orders eagerly, after which concurrent
 ///    queries never touch the mutex's slow path.
-class TripleStore {
+class TripleStore : public TripleReads<TripleStore> {
  public:
   TripleStore() = default;
 
@@ -89,41 +221,25 @@ class TripleStore {
   /// All triples in insertion order.
   const std::vector<Triple>& triples() const { return triples_; }
 
-  /// Collects all triples matching `pattern`.
-  std::vector<Triple> Match(const TriplePattern& pattern) const;
-
-  /// Calls `fn` for each matching triple; stops early if `fn` returns false.
-  /// Thin wrapper over ForEachMatchFn — prefer the template from hot loops.
-  void ForEachMatch(const TriplePattern& pattern,
-                    const std::function<bool(const Triple&)>& fn) const;
-
-  /// Templated fast path of ForEachMatch: identical semantics, but the
-  /// callable is statically dispatched (and typically inlined) instead of
-  /// paying a std::function indirection per triple. `fn` takes
-  /// `const Triple&` and returns false to stop early. Match, CountMatches,
-  /// Objects, Subjects and FirstObject are built on this path.
+  /// Calls `fn(const Triple&)` for each triple matching `pattern`, in the
+  /// planned index's order (insertion order for the unbound pattern); stops
+  /// early when `fn` returns false. The callable is statically dispatched,
+  /// so the per-triple call inlines.
   template <typename Fn>
   void ForEachMatchFn(const TriplePattern& pattern, Fn&& fn) const {
-    constexpr TermId kAny = TriplePattern::kAny;
-    Order order;
-    auto [begin, end] = PrefixRange(pattern, &order);
-    if (begin == nullptr) {  // unbound pattern: full scan
+    const PatternPlan plan = PlanPattern(pattern);
+    if (plan.bound == 0) {
       for (const Triple& t : triples_) {
         if (!fn(t)) return;
       }
       return;
     }
+    auto [begin, end] = PrefixRange(plan);
     for (const uint32_t* it = begin; it != end; ++it) {
       const Triple& t = triples_[*it];
-      bool is_match = (pattern.s == kAny || pattern.s == t.s) &&
-                      (pattern.p == kAny || pattern.p == t.p) &&
-                      (pattern.o == kAny || pattern.o == t.o);
-      if (is_match && !fn(t)) return;
+      if (Matches(pattern, t) && !fn(t)) return;
     }
   }
-
-  /// Number of triples matching `pattern` (no materialization).
-  size_t CountMatches(const TriplePattern& pattern) const;
 
   /// Number of index entries a query for `pattern` walks (the candidate
   /// range before residual filtering; `size()` for the unbound pattern).
@@ -132,17 +248,7 @@ class TripleStore {
   /// range, not the subject's whole SPO range.
   size_t ScanCost(const TriplePattern& pattern) const;
 
-  /// Objects `o` of all triples (s, p, o). Convenience for the hot
-  /// "attribute lookup" path.
-  std::vector<TermId> Objects(TermId s, TermId p) const;
-
-  /// Subjects `s` of all triples (s, p, o).
-  std::vector<TermId> Subjects(TermId p, TermId o) const;
-
-  /// First object of (s, p, *), or kInvalidTerm.
-  TermId FirstObject(TermId s, TermId p) const;
-
-  /// Distinct predicates present in the store.
+  /// Distinct predicates present in the store, ascending.
   std::vector<TermId> DistinctPredicates() const;
 
   /// Eagerly (re)builds all three sort orders. Call once after bulk load to
@@ -157,9 +263,10 @@ class TripleStore {
   /// Add() slipped in after sealing would silently reintroduce the mutex
   /// slow path (and race with concurrent readers).
   bool IndexesSealed() const {
-    return !spo_dirty_.load(std::memory_order_acquire) &&
-           !pos_dirty_.load(std::memory_order_acquire) &&
-           !osp_dirty_.load(std::memory_order_acquire);
+    for (const std::atomic<bool>& dirty : dirty_) {
+      if (dirty.load(std::memory_order_acquire)) return false;
+    }
+    return true;
   }
 
   /// Per-structure heap accounting (see TripleStoreMemory). Safe to call
@@ -167,33 +274,21 @@ class TripleStore {
   TripleStoreMemory MemoryUsage() const;
 
  private:
-  enum class Order { kSpo, kPos, kOsp };
+  void EnsureSorted(int ord) const;
 
-  struct TripleHash {
-    size_t operator()(const Triple& t) const {
-      uint64_t h = t.s;
-      h = h * 0x9E3779B97F4A7C15ull + t.p;
-      h = h * 0x9E3779B97F4A7C15ull + t.o;
-      h ^= h >> 29;
-      return static_cast<size_t>(h);
-    }
-  };
-
-  void EnsureSorted(Order order) const;
-
-  // Returns [begin, end) into the given index for the pattern's bound prefix.
+  // [begin, end) of the plan's index for its bound prefix (plan.bound > 0).
   std::pair<const uint32_t*, const uint32_t*> PrefixRange(
-      const TriplePattern& pattern, Order* chosen) const;
+      const PatternPlan& plan) const;
 
   std::vector<Triple> triples_;
   std::unordered_set<Triple, TripleHash> dedup_;
 
-  mutable std::vector<uint32_t> idx_spo_, idx_pos_, idx_osp_;
+  // Per order (KeyOf numbering): a permutation of triple positions.
+  mutable std::vector<uint32_t> idx_[3];
   // Invariant: a false flag (acquire-read) means the matching index vector
   // is fully built for the current triples_ — readers then use it without
   // locking. Rebuilds happen under index_mu_ with a double-check.
-  mutable std::atomic<bool> spo_dirty_{false}, pos_dirty_{false},
-      osp_dirty_{false};
+  mutable std::atomic<bool> dirty_[3] = {};
   mutable std::mutex index_mu_;
 };
 

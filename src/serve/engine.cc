@@ -161,8 +161,7 @@ QueryEngine::~QueryEngine() {
 const rdf::GraphSnapshot& QueryEngine::Sealed(const rdf::GraphSnapshot& snap) {
   // A sharded (OBGSNAP2) base is immutable on disk — sealed by
   // construction; an in-memory base must still prove it.
-  OPENBG_CHECK(snap.sharded != nullptr ||
-               (snap.base != nullptr && snap.base->IndexesSealed()))
+  OPENBG_CHECK(snap.WithBase([](const auto& b) { return b.IndexesSealed(); }))
       << "serve-path read would trigger a lazy index build; the store was "
          "mutated after ServeContext/LiveGraph sealed it";
   return snap;

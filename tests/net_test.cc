@@ -132,7 +132,9 @@ TEST(WireTest, RequestPayloadRoundTrips) {
   EXPECT_FALSE(DecodeRequestPayload(Tag::kLinkPredict, "\x01\x02", &out));
   EXPECT_FALSE(DecodeRequestPayload(Tag::kConceptsOf, "", &out));
   // Trailing garbage after a fixed-size payload is also malformed.
-  std::string padded = EncodeRequestPayload(WireRequest{Tag::kConceptsOf});
+  WireRequest concepts;
+  concepts.tag = Tag::kConceptsOf;
+  std::string padded = EncodeRequestPayload(concepts);
   padded.push_back('x');
   EXPECT_FALSE(DecodeRequestPayload(Tag::kConceptsOf, padded, &out));
 }

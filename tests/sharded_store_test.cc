@@ -499,6 +499,94 @@ TEST(ShardedStoreTest, ThresholdCompactionIsSkippedForShardedBase) {
   RemoveTree(dir);
 }
 
+// The same seeded update stream over both base representations must give
+// snapshots that agree on every read: the delta overlay (retract filter,
+// re-add cancellation, merged adds) may not depend on which store is under
+// it. Only the unbound pattern's order differs (global SPO vs insertion).
+TEST(ShardedStoreTest, LiveSnapshotParityAcrossBaseRepresentations) {
+  for (uint64_t seed : {5, 6, 7}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    std::string dir = FreshDir("obgs2_liveparity");
+    util::Rng rng(seed);
+    auto mem = std::make_shared<TripleStore>();
+    FillRandomGraph(&rng, 600, 40, 6, 30, mem.get());
+    util::ThreadPool pool(2);
+    auto store = BuildAndOpen(
+        *mem, dir, {.num_shards = 4, .block_size = 8},
+        {.verify = ShardedOpenOptions::Verify::kOnFirstUse, .pool = &pool});
+    ASSERT_NE(store, nullptr);
+    rdf::LiveGraph in_memory(mem);
+    rdf::LiveGraph sharded(store);
+
+    auto random_triple = [&rng]() {
+      // Slightly wider ranges than the base: some adds are new triples.
+      return Triple{static_cast<rdf::TermId>(rng.Uniform(45)),
+                    static_cast<rdf::TermId>(rng.Uniform(7)),
+                    static_cast<rdf::TermId>(rng.Uniform(35))};
+    };
+    std::vector<Triple> retracted;  // base triples retracted so far
+    std::vector<Triple> added;      // triples added so far
+    for (int round = 0; round < 12; ++round) {
+      SCOPED_TRACE(::testing::Message() << "round " << round);
+      rdf::UpdateBatch batch;
+      for (int i = 0; i < 4; ++i) {
+        const Triple t = mem->triples()[rng.Uniform(mem->size())];
+        batch.retracts.push_back(t);
+        retracted.push_back(t);
+      }
+      for (int i = 0; i < 2 && !retracted.empty(); ++i) {
+        batch.adds.push_back(retracted[rng.Uniform(retracted.size())]);
+      }
+      for (int i = 0; i < 4; ++i) {
+        const Triple t = random_triple();
+        batch.adds.push_back(t);
+        added.push_back(t);
+      }
+      if (!added.empty()) {
+        batch.retracts.push_back(added[rng.Uniform(added.size())]);
+      }
+      ASSERT_TRUE(in_memory.Apply(batch).ok());
+      ASSERT_TRUE(sharded.Apply(batch).ok());
+
+      std::shared_ptr<const rdf::GraphSnapshot> want = in_memory.Acquire();
+      std::shared_ptr<const rdf::GraphSnapshot> got = sharded.Acquire();
+      ASSERT_NE(got->sharded, nullptr);
+      EXPECT_EQ(got->generation, want->generation);
+      EXPECT_EQ(got->size(), want->size());
+      std::vector<Triple> probes = {random_triple(), random_triple()};
+      for (int i = 0; i < 3; ++i) {
+        probes.push_back(mem->triples()[rng.Uniform(mem->size())]);
+        probes.push_back(retracted[rng.Uniform(retracted.size())]);
+        probes.push_back(added[rng.Uniform(added.size())]);
+      }
+      for (const Triple& probe : probes) {
+        EXPECT_EQ(got->Contains(probe.s, probe.p, probe.o),
+                  want->Contains(probe.s, probe.p, probe.o));
+        for (const TriplePattern& pattern : PatternShapes(probe)) {
+          std::vector<Triple> want_match = want->Match(pattern);
+          std::vector<Triple> got_match = got->Match(pattern);
+          if (pattern.s == kAny && pattern.p == kAny && pattern.o == kAny) {
+            std::sort(want_match.begin(), want_match.end(), SpoLess);
+            std::sort(got_match.begin(), got_match.end(), SpoLess);
+          }
+          EXPECT_EQ(got_match, want_match)
+              << "pattern (" << pattern.s << "," << pattern.p << ","
+              << pattern.o << ")";
+          EXPECT_EQ(got->CountMatches(pattern), want->CountMatches(pattern));
+        }
+        EXPECT_EQ(got->Objects(probe.s, probe.p),
+                  want->Objects(probe.s, probe.p));
+        EXPECT_EQ(got->Subjects(probe.p, probe.o),
+                  want->Subjects(probe.p, probe.o));
+        EXPECT_EQ(got->FirstObject(probe.s, probe.p),
+                  want->FirstObject(probe.s, probe.p));
+      }
+    }
+    EXPECT_TRUE(store->ok());
+    RemoveTree(dir);
+  }
+}
+
 // ------------------------------------------------------- serve integration
 
 TEST(ShardedStoreTest, QueryEngineServesNeighborsFromShardedBase) {
