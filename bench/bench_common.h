@@ -2,43 +2,32 @@
 #define OPENBG_BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
 #include "core/openbg.h"
 #include "kge/trainer.h"
-#include "util/parse.h"
+#include "util/flags.h"
 #include "util/string_util.h"
 
 namespace openbg::bench {
 
-/// Shared CLI for the table/figure reproduction binaries:
-///   --scale <f>           multiplies the synthetic-world taxonomy sizes
-///   --products <n>        product count
-///   --seed <n>            world seed
-///   --threads <n>         evaluator worker threads (metrics are identical
-///                         to serial; only wall-clock changes)
-///   --train-threads <n>   KGE trainer threads (0 = hardware); with
-///                         --train-mode hogwild the updates race benignly,
-///                         with deterministic they are bit-identical to 1
-///                         thread
-///   --train-mode <m>      'hogwild' (default) or 'deterministic'
-///   --parse-policy <p>    'strict' (default) or 'skip': how file loaders
-///                         treat malformed lines
-///   --max-parse-errors <n> abort a 'skip' load after n bad lines (0 = no
-///                         limit)
-///   --checkpoint-dir <d>  write/resume per-model trainer checkpoints
-///                         under this directory (empty = disabled)
-///   --ann <0|1>           rank with the IVF+int8 ANN path (src/ann) for
-///                         models that expose a tail-scan spec; others
-///                         fall back to the exact scan
-///   --ann-nprobe <n>      clusters probed per ANN query (>= num_clusters
-///                         degenerates to exact)
-///   --ann-clusters <n>    IVF cluster count (0 = auto ~sqrt(E))
-/// Defaults give a ~1/1000-of-paper world that runs each bench in minutes
-/// on one core.
+/// ANN ranking knobs for the evaluation tables (--ann/--ann-nprobe/
+/// --ann-clusters). When enabled, models exposing a tail-scan spec rank
+/// tails through ann::TailIndex::ScoreTailsApprox instead of the exact
+/// full scan; metrics become approximate (a missed gold tail ranks last,
+/// so misses only ever deflate the row). Models without a spec silently
+/// keep the exact path.
+struct LpAnnOptions {
+  bool enabled = false;
+  size_t nprobe = 8;
+  size_t clusters = 0;  // 0 = auto ~sqrt(E)
+};
+
+/// Shared CLI for the table/figure reproduction binaries, parsed strictly
+/// by util::Flags (`--help` lists the table; an unknown flag, a missing
+/// value or a malformed number exits 2). Defaults give a
+/// ~1/1000-of-paper world that runs each bench in minutes on one core.
 struct BenchArgs {
   double scale = 1.0;
   size_t products = 4000;
@@ -46,45 +35,38 @@ struct BenchArgs {
   size_t threads = 1;
   size_t train_threads = 1;
   kge::TrainMode train_mode = kge::TrainMode::kHogwild;
-  util::ParseOptions parse;
   std::string checkpoint_dir;
-  bool ann = false;
-  size_t ann_nprobe = 8;
-  size_t ann_clusters = 0;
+  LpAnnOptions ann;
 
   static BenchArgs Parse(int argc, char** argv) {
     BenchArgs args;
-    for (int i = 1; i + 1 < argc; i += 2) {
-      if (std::strcmp(argv[i], "--scale") == 0) {
-        args.scale = std::atof(argv[i + 1]);
-      } else if (std::strcmp(argv[i], "--products") == 0) {
-        args.products = static_cast<size_t>(std::atoll(argv[i + 1]));
-      } else if (std::strcmp(argv[i], "--seed") == 0) {
-        args.seed = static_cast<uint64_t>(std::atoll(argv[i + 1]));
-      } else if (std::strcmp(argv[i], "--threads") == 0) {
-        args.threads = static_cast<size_t>(std::atoll(argv[i + 1]));
-      } else if (std::strcmp(argv[i], "--train-threads") == 0) {
-        args.train_threads = static_cast<size_t>(std::atoll(argv[i + 1]));
-      } else if (std::strcmp(argv[i], "--train-mode") == 0) {
-        args.train_mode = std::strcmp(argv[i + 1], "deterministic") == 0
-                              ? kge::TrainMode::kDeterministic
-                              : kge::TrainMode::kHogwild;
-      } else if (std::strcmp(argv[i], "--parse-policy") == 0) {
-        args.parse.policy = std::strcmp(argv[i + 1], "skip") == 0
-                                ? util::ParsePolicy::kSkipAndReport
-                                : util::ParsePolicy::kStrict;
-      } else if (std::strcmp(argv[i], "--max-parse-errors") == 0) {
-        args.parse.max_errors = static_cast<size_t>(std::atoll(argv[i + 1]));
-      } else if (std::strcmp(argv[i], "--checkpoint-dir") == 0) {
-        args.checkpoint_dir = argv[i + 1];
-      } else if (std::strcmp(argv[i], "--ann") == 0) {
-        args.ann = std::atoi(argv[i + 1]) != 0;
-      } else if (std::strcmp(argv[i], "--ann-nprobe") == 0) {
-        args.ann_nprobe = static_cast<size_t>(std::atoll(argv[i + 1]));
-      } else if (std::strcmp(argv[i], "--ann-clusters") == 0) {
-        args.ann_clusters = static_cast<size_t>(std::atoll(argv[i + 1]));
-      }
-    }
+    std::string mode = "hogwild";
+    util::Flags flags(argv[0]);
+    flags.Double("--scale", &args.scale,
+                 "multiplies the synthetic-world taxonomy sizes");
+    flags.Unsigned("--products", &args.products, "product count");
+    flags.Unsigned("--seed", &args.seed, "world seed");
+    flags.Unsigned("--threads", &args.threads,
+                   "evaluator worker threads (metrics are identical to "
+                   "serial; only wall-clock changes)");
+    flags.Unsigned("--train-threads", &args.train_threads,
+                   "KGE trainer threads (0 = hardware)");
+    flags.String("--train-mode", &mode,
+                 "hogwild updates race benignly; deterministic is "
+                 "bit-identical to 1 thread",
+                 {"hogwild", "deterministic"});
+    flags.String("--checkpoint-dir", &args.checkpoint_dir,
+                 "write/resume per-model trainer checkpoints here "
+                 "(empty = disabled)");
+    flags.Bool("--ann", &args.ann.enabled,
+               "rank with the IVF+int8 ANN path where the model allows it");
+    flags.Unsigned("--ann-nprobe", &args.ann.nprobe,
+                   "clusters probed per ANN query (>= clusters is exact)");
+    flags.Unsigned("--ann-clusters", &args.ann.clusters,
+                   "IVF cluster count (0 = auto ~sqrt(E))");
+    flags.ParseOrExit(argc, argv);
+    args.train_mode = mode == "deterministic" ? kge::TrainMode::kDeterministic
+                                              : kge::TrainMode::kHogwild;
     return args;
   }
 

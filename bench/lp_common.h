@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "ann/ivf_index.h"
+#include "bench/bench_common.h"
 #include "kge/bilinear_models.h"
 #include "kge/evaluator.h"
 #include "kge/multimodal_models.h"
@@ -128,18 +129,6 @@ inline LpBaseline GenKgcBaseline(size_t dim) {
           },
           LpConfig(3, 0.3f, 64)};
 }
-
-/// ANN ranking knobs for the evaluation tables (--ann/--ann-nprobe/
-/// --ann-clusters). When enabled, models exposing a tail-scan spec rank
-/// tails through ann::TailIndex::ScoreTailsApprox instead of the exact
-/// full scan; metrics become approximate (a missed gold tail ranks last,
-/// so misses only ever deflate the row). Models without a spec silently
-/// keep the exact path.
-struct LpAnnOptions {
-  bool enabled = false;
-  size_t nprobe = 8;
-  size_t clusters = 0;  // 0 = auto ~sqrt(E)
-};
 
 /// Trains and evaluates one baseline; prints a Table-III-style row.
 /// `eval_cap` bounds the ranked test triples (the paper similarly bounds

@@ -31,21 +31,20 @@ int main(int argc, char** argv) {
               ds.test.size());
 
   const size_t kEvalCap = 300;
-  bench::LpAnnOptions ann{args.ann, args.ann_nprobe, args.ann_clusters};
   std::printf("Single-modal approaches (filtered tail ranking, first %zu "
               "test triples):\n", kEvalCap);
   bench::PrintLpHeader();
   for (const auto& baseline : bench::SingleModalBaselines(32)) {
     bench::RunLpBaseline(baseline, ds, kEvalCap, /*print_mr=*/true,
                          args.threads, args.checkpoint_dir,
-                         args.train_threads, args.train_mode, ann);
+                         args.train_threads, args.train_mode, args.ann);
   }
   std::printf("\nMultimodal approaches:\n");
   bench::PrintLpHeader();
   for (const auto& baseline : bench::MultiModalBaselines(32)) {
     bench::RunLpBaseline(baseline, ds, kEvalCap, /*print_mr=*/true,
                          args.threads, args.checkpoint_dir,
-                         args.train_threads, args.train_mode, ann);
+                         args.train_threads, args.train_mode, args.ann);
   }
   std::printf("\npaper reference (Table III): TransE .150/.387/.647, "
               "TuckER .497/.690/.820,\n  KG-BERT .092/.207/.405 (MR 61), "

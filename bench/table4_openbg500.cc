@@ -15,7 +15,6 @@
 int main(int argc, char** argv) {
   using namespace openbg;
   bench::BenchArgs args = bench::BenchArgs::Parse(argc, argv);
-  bench::LpAnnOptions ann{args.ann, args.ann_nprobe, args.ann_clusters};
   bench::PrintHeader("Table IV — link prediction on OpenBG500 / OpenBG500-L",
                      "Table IV");
 
@@ -40,12 +39,12 @@ int main(int argc, char** argv) {
       bench::RunLpBaseline(baseline, ds, kEvalCap,
                            baseline.paper_name != "GenKGC", args.threads,
                            args.checkpoint_dir, args.train_threads,
-                           args.train_mode, ann);
+                           args.train_mode, args.ann);
     }
     bench::RunLpBaseline(bench::GenKgcBaseline(32), ds, kEvalCap,
                          /*print_mr=*/false, args.threads,
                          args.checkpoint_dir, args.train_threads,
-                         args.train_mode, ann);
+                         args.train_mode, args.ann);
   }
 
   // --- OpenBG500-L: a larger world, denser sampling, cheap baselines only.
@@ -77,7 +76,7 @@ int main(int argc, char** argv) {
       }
       bench::RunLpBaseline(baseline, ds, kEvalCap, /*print_mr=*/true,
                            args.threads, args.checkpoint_dir, args.train_threads,
-                           args.train_mode, ann);
+                           args.train_mode, args.ann);
     }
   }
 

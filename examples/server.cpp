@@ -16,8 +16,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -31,6 +29,7 @@
 #include "net/server.h"
 #include "serve/canary.h"
 #include "serve/engine.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -295,15 +294,10 @@ int RunServe(uint16_t port) {
 int main(int argc, char** argv) {
   uint16_t port = 0;
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      port = static_cast<uint16_t>(std::atoi(argv[++i]));
-    } else {
-      std::fprintf(stderr, "usage: %s [--port N] [--smoke]\n", argv[0]);
-      return 2;
-    }
-  }
+  openbg::util::Flags flags(argv[0]);
+  flags.Unsigned("--port", &port, "TCP port to listen on (0 = ephemeral)");
+  flags.Bool("--smoke", &smoke,
+             "run the self-checking end-to-end exercise and exit");
+  flags.ParseOrExit(argc, argv);
   return smoke ? RunSmoke() : RunServe(port);
 }

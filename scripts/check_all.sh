@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # The full pre-merge gauntlet: the default build (-Wall -Wextra, every
-# warning an error) and its test suite, then the AddressSanitizer,
-# ThreadSanitizer, and UBSan presets (each in its own build tree, see
-# check_asan.sh / check_tsan.sh / check_ubsan.sh for scope notes — the TSan
-# run excludes the documented hogwild benign races), then the chaos sweep:
-# the randomized fault-injection harness across five distinct seeds under
-# both the default and TSan builds.
+# warning an error), its test suite and a bench CLI guard, then the
+# AddressSanitizer, ThreadSanitizer, and UBSan presets (each in its own
+# build tree, see check_asan.sh / check_tsan.sh / check_ubsan.sh for scope
+# notes — the TSan run excludes the documented hogwild benign races), then
+# the chaos sweep: the randomized fault-injection harness across five
+# distinct seeds under both the default and TSan builds.
 # Usage: scripts/check_all.sh [extra ctest args for the default run...]
 set -euo pipefail
 
@@ -15,6 +15,20 @@ echo "==> default build (warnings are errors) + tests"
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)" "$@"
+
+echo "==> bench CLI guard: strict flags, and the moved serving scenarios run"
+# util::Flags exits 2 on an unknown flag rather than running with defaults.
+if ./build/bench/table1_kg_stats --no-such-flag >/dev/null 2>&1; then
+  echo "table1_kg_stats accepted an unknown flag" >&2
+  exit 1
+fi
+# The BENCH_serving.json scenarios are in no test suite, so run them once.
+# A scenario that fails its build or open prints no counters.
+serving="$(./build/bench/micro_benchmarks \
+  --benchmark_filter='BM_AnnTopK|BM_ShardedServe')"
+echo "${serving}"
+grep -q 'recall_at_10=' <<<"${serving}"
+grep -q 'store_ok=1' <<<"${serving}"
 
 echo "==> AddressSanitizer"
 scripts/check_asan.sh

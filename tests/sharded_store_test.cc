@@ -73,8 +73,15 @@ void RemoveTree(const std::string& dir) {
   ::rmdir(dir.c_str());
 }
 
+// A path under the test temp dir, suffixed with the pid so two processes
+// running the suite at once (say a default and a sanitizer tree) never
+// share, and bit-flip, each other's fixtures.
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name + "." + std::to_string(::getpid());
+}
+
 std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
+  std::string dir = TempPath(name);
   RemoveTree(dir);
   return dir;
 }
@@ -670,7 +677,7 @@ TEST(ShardedStoreTest, QueryEngineDegradesWhenShardedBaseLatchesCorrupt) {
 // ------------------------------------------------ streaming SnapshotReader
 
 TEST(StreamingSnapshotReaderTest, SectionsLoadOnDemandWithFreshCursors) {
-  std::string path = ::testing::TempDir() + "/obgs2_stream.snap";
+  std::string path = TempPath("obgs2_stream.snap");
   util::SnapshotWriter writer(path, "STREAMT1", 1);
   writer.BeginSection(10);
   writer.PutU32(42);
@@ -705,7 +712,7 @@ TEST(StreamingSnapshotReaderTest, SectionsLoadOnDemandWithFreshCursors) {
 }
 
 TEST(StreamingSnapshotReaderTest, FileChangedAfterOpenFailsSectionReads) {
-  std::string path = ::testing::TempDir() + "/obgs2_stream_rot.snap";
+  std::string path = TempPath("obgs2_stream_rot.snap");
   util::SnapshotWriter writer(path, "STREAMT1", 1);
   writer.BeginSection(1);
   writer.PutString("payload that will rot");
@@ -752,7 +759,7 @@ TEST(MemoryAccountingTest, PerIndexBytesAppearAfterSeal) {
 }
 
 TEST(MemoryAccountingTest, MappedFileReportsResidency) {
-  std::string path = ::testing::TempDir() + "/obgs2_mapped_probe";
+  std::string path = TempPath("obgs2_mapped_probe");
   std::string content(256 * 1024, 'x');
   WriteWholeFile(path, content);
   util::MappedFile file;

@@ -4,15 +4,20 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/parse.h"
 
 #include "util/circuit_breaker.h"
 #include "util/clock.h"
 #include "util/fault_injection.h"
+#include "util/flags.h"
 #include "util/histogram.h"
 #include "util/retry.h"
 #include "util/rng.h"
@@ -973,6 +978,115 @@ TEST_F(FailpointSpecTest, RetryPolicyAbsorbsTransientFailpoint) {
   });
   EXPECT_TRUE(out.ok());
   EXPECT_EQ(out.attempts, 2);
+}
+
+// ---------------------------------------------------------------- Flags
+
+struct FlagTargets {
+  std::string name = "default";
+  std::string mode = "hogwild";
+  size_t count = 4;
+  uint16_t port = 0;
+  double scale = 1.0;
+  bool on = false;
+};
+
+Flags MakeFlags(FlagTargets* t) {
+  Flags flags("prog");
+  flags.String("--name", &t->name, "a name");
+  flags.String("--mode", &t->mode, "a mode", {"hogwild", "deterministic"});
+  flags.Unsigned("--count", &t->count, "a count");
+  flags.Unsigned("--port", &t->port, "a port");
+  flags.Double("--scale", &t->scale, "a scale");
+  flags.Bool("--on", &t->on, "a switch");
+  return flags;
+}
+
+Status ParseArgs(Flags* flags, std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return flags->Parse(static_cast<int>(args.size()), args.data());
+}
+
+TEST(FlagsTest, ValidParseSetsEveryType) {
+  FlagTargets t;
+  Flags flags = MakeFlags(&t);
+  ASSERT_TRUE(ParseArgs(&flags, {"--name", "x", "--mode", "deterministic",
+                                 "--count", "18446744073709551615", "--port",
+                                 "65535", "--scale", "-0.25", "--on"})
+                  .ok());
+  EXPECT_FALSE(flags.help_requested());
+  EXPECT_EQ(t.name, "x");
+  EXPECT_EQ(t.mode, "deterministic");
+  EXPECT_EQ(t.count, std::numeric_limits<size_t>::max());
+  EXPECT_EQ(t.port, 65535);
+  EXPECT_EQ(t.scale, -0.25);
+  EXPECT_TRUE(t.on);
+
+  // No arguments leaves every default in place.
+  FlagTargets d;
+  Flags empty = MakeFlags(&d);
+  ASSERT_TRUE(ParseArgs(&empty, {}).ok());
+  EXPECT_EQ(d.count, 4u);
+  EXPECT_FALSE(d.on);
+}
+
+TEST(FlagsTest, RejectsBadInputWithAMessage) {
+  const std::vector<std::pair<std::vector<const char*>, std::string>> cases =
+      {
+          {{"--no-such-flag"}, "unknown flag '--no-such-flag'"},
+          {{"--count"}, "--count needs a <uint> value"},
+          {{"--count", "--on"}, "--count needs a <uint> value"},
+          {{"--count", "abc"}, "bad value 'abc' for --count"},
+          {{"--count", "12x"}, "bad value '12x' for --count"},
+          {{"--count", "-1"}, "bad value '-1' for --count"},
+          {{"--count", " 1"}, "bad value ' 1' for --count"},
+          {{"--count", "18446744073709551616"}, "bad value"},
+          {{"--port", "70000"}, "bad value '70000' for --port (expects "
+                                "<0..65535>)"},
+          {{"--scale", "x"}, "bad value 'x' for --scale"},
+          {{"--scale", "inf"}, "bad value 'inf' for --scale"},
+          {{"--mode", "fast"}, "bad value 'fast' for --mode (expects "
+                               "<hogwild|deterministic>)"},
+          {{"--on", "--on"}, "flag --on given twice"},
+      };
+  for (const auto& [args, message] : cases) {
+    FlagTargets t;
+    Flags flags = MakeFlags(&t);
+    Status s = ParseArgs(&flags, args);
+    ASSERT_FALSE(s.ok()) << args.front();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.message().find(message), std::string::npos) << s.message();
+  }
+}
+
+TEST(FlagsTest, BoolFlagTakesNoValue) {
+  FlagTargets t;
+  Flags flags = MakeFlags(&t);
+  // A valueless bool does not swallow the next flag.
+  ASSERT_TRUE(ParseArgs(&flags, {"--on", "--count", "9"}).ok());
+  EXPECT_TRUE(t.on);
+  EXPECT_EQ(t.count, 9u);
+
+  FlagTargets u;
+  Flags with_value = MakeFlags(&u);
+  Status s = ParseArgs(&with_value, {"--on", "1"});
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("unknown flag '1'"), std::string::npos);
+}
+
+TEST(FlagsTest, HelpReturnsTheUsageTable) {
+  FlagTargets t;
+  Flags flags = MakeFlags(&t);
+  ASSERT_TRUE(ParseArgs(&flags, {"--help", "--no-such-flag"}).ok());
+  EXPECT_TRUE(flags.help_requested());
+  const std::string usage = flags.Usage();
+  EXPECT_EQ(usage.rfind("usage: prog [flags]\n", 0), 0u);
+  for (const char* line :
+       {"--name <string>", "--mode <hogwild|deterministic>",
+        "--count <uint>", "--port <0..65535>", "--scale <float>", "--on ",
+        "(default: 4)", "--help"}) {
+    EXPECT_NE(usage.find(line), std::string::npos) << line;
+  }
 }
 
 }  // namespace
